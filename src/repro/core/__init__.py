@@ -19,6 +19,8 @@ This package implements Section IV of the paper:
 - :mod:`repro.core.engine` -- the user-side lookup engine: iterative
   search down the query partial order, target selection, cache shortcut
   jumps, and generalization/specialization for non-indexed queries;
+- :mod:`repro.core.steps` -- the blocking and continuation drivers
+  that run the engine's and the service's step generators;
 - :mod:`repro.core.predicates` -- the typed predicate algebra over field
   constraints (:class:`Exact`, :class:`Prefix`, :class:`Wildcard`,
   :class:`Range`) with per-predicate covering;

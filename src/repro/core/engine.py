@@ -29,19 +29,22 @@ The engine models the *automated* search mode of the paper -- the target
 record plays the role of the user's selection criterion at each step --
 which is exactly the behaviour simulated in Section V.
 
-Since the virtual-time refactor, one search is a **resumable state
-machine**: :meth:`LookupEngine.search_steps` is a generator that yields
-one :class:`SearchStep` per message exchange and receives the exchange's
-result (or has the :class:`DeliveryError` thrown into it).  Two drivers
-consume it:
+A search is one loop of message exchanges, written once as step
+generators and run by one of two drivers (see :mod:`repro.core.steps`):
 
-- :meth:`LookupEngine.search` executes every step inline against the
-  synchronous service API -- operation for operation the pre-refactor
-  call stack, so sequential-mode results are bit-identical;
-- :meth:`LookupEngine.start_async` executes steps through the service's
-  continuation-passing API over an event kernel, so N users' searches
-  interleave by virtual time and retry backoff becomes a scheduled
-  timer instead of pure budget burn.
+- :meth:`LookupEngine.search_steps` yields one :class:`SearchStep` per
+  exchange and receives the exchange's result (or has the
+  :class:`DeliveryError` thrown into it);
+- each exchange is itself a step generator inside
+  :class:`repro.core.service.IndexService`, holding the replica
+  failover, trust and second-opinion policy and yielding request
+  messages;
+- :meth:`LookupEngine.search` runs both inline over the blocking
+  ``transport.send`` -- the paper's sequential feed;
+- :meth:`LookupEngine.start_async` runs both over the continuation
+  ``transport.send_async`` of an event kernel (or a socket loop), so N
+  users' searches interleave by virtual time and retry backoff becomes
+  a scheduled timer instead of pure budget burn.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from typing import TYPE_CHECKING, Callable, Generator, Optional, Union
 from repro.core.fields import Record
 from repro.core.query import FieldQuery, QueryParseError
 from repro.core.service import IndexService, QueryAnswer
+from repro.core.steps import run_steps, start_steps
 from repro.net.transport import DeliveryError
 from repro.perf import counters
 
@@ -62,6 +66,11 @@ if TYPE_CHECKING:
 
 class LookupError_(RuntimeError):
     """Raised when a search cannot make progress (data truly absent)."""
+
+
+def _raise(error: DeliveryError) -> None:
+    """The search handles its delivery errors; none escapes it."""
+    raise error
 
 
 @dataclass
@@ -215,23 +224,11 @@ class LookupEngine:
         looking for).  Returns the full trace; raises nothing on a failed
         search (the trace reports ``found=False``).
 
-        This synchronous driver executes the search state machine inline,
-        one service call per step, in exactly the order the pre-kernel
-        call stack used -- sequential-mode results are bit-identical.
+        This blocking driver executes the search state machine inline,
+        one service call per step.
         """
         trace = self._begin_search(query, target)
-        steps = self.search_steps(trace, target)
-        try:
-            step = next(steps)
-            while True:
-                try:
-                    result = self._perform_step(step)
-                except DeliveryError as error:
-                    step = steps.throw(error)
-                else:
-                    step = steps.send(result)
-        except StopIteration:
-            pass
+        run_steps(self.search_steps(trace, target), self._perform_step)
         self._end_lookup(trace)
         return trace
 
@@ -252,23 +249,8 @@ class LookupEngine:
         usual interaction budget).
         """
         trace = self._begin_search(query, target)
-        steps = self.search_steps(trace, target)
 
-        def advance(send: bool, value: object) -> None:
-            try:
-                if send:
-                    step = steps.send(value)
-                else:
-                    step = steps.throw(value)
-            except StopIteration:
-                self._end_lookup(trace)
-                on_complete(trace)
-                return
-            dispatch(step)
-
-        def dispatch(step: SearchStep) -> None:
-            on_done = lambda result: advance(True, result)  # noqa: E731
-            on_error = lambda error: advance(False, error)  # noqa: E731
+        def dispatch(step: SearchStep, on_done, on_error) -> None:
             if isinstance(step, QueryStep):
                 self.service.query_async(
                     step.query, self.user, on_done, on_error
@@ -283,14 +265,18 @@ class LookupEngine:
                 self.service.insert_shortcut_async(
                     step.node, step.query_key, step.msd_key, self.user
                 )
-                advance(True, None)
+                on_done(None)
             else:  # BackoffStep
                 wait_ms = step.units * self.backoff_unit_ms
                 if self.tracer is not None and self.tracer.current is not None:
                     self.tracer.backoff(*self.tracer.current, wait_ms=wait_ms)
-                kernel.post(wait_ms, lambda: advance(True, None))
+                kernel.post(wait_ms, on_done)
 
-        advance(True, None)
+        def finish(_: object) -> None:
+            self._end_lookup(trace)
+            on_complete(trace)
+
+        start_steps(self.search_steps(trace, target), dispatch, finish, _raise)
         return trace
 
     def _begin_search(self, query: FieldQuery, target: Record) -> SearchTrace:

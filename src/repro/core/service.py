@@ -29,6 +29,7 @@ from repro.core.cache import CachePolicy, NodeCache
 from repro.core.fields import Record, Schema
 from repro.core.query import FieldQuery
 from repro.core.scheme import IndexScheme
+from repro.core.steps import Steps, run_steps, start_steps
 from repro.net.message import Message, MessageKind
 from repro.net.transport import DeliveryError, SimulatedTransport
 from repro.perf import counters
@@ -57,6 +58,10 @@ class QueryAnswer:
     @property
     def empty(self) -> bool:
         return not (self.entries or self.shortcuts or self.file_found)
+
+
+def _ignore(_: object) -> None:
+    """Continuation of a fire-and-forget step."""
 
 
 class IndexService:
@@ -298,6 +303,19 @@ class IndexService:
         return key in self.index_store and bool(self.index_store.values(key))
 
     # -- user-facing operations (message-based) -----------------------------------------
+    #
+    # Each operation is written once, as a step generator holding its
+    # whole policy -- replica order, failover, trust penalties and the
+    # second-opinion rule.  It yields request messages and is resumed
+    # with each response, or has the DeliveryError thrown in.  Two
+    # drivers run it: the blocking methods through run_steps() over
+    # ``transport.send``, the ``*_async`` methods through start_steps()
+    # over ``transport.send_async``, where many exchanges are in flight
+    # at once on the virtual clock and each request pays its overlay
+    # routing delay (``route_hops`` legs, a scheduled-only input, so
+    # blocking-path messages keep their size).  Per-query node touching
+    # is done by the blocking driver only: the meter's current-query set
+    # cannot tell overlapping lookups apart.
 
     def query(self, query: FieldQuery, user: str) -> QueryAnswer:
         """Ask the node responsible for ``h(q)`` to resolve ``q``."""
@@ -313,17 +331,138 @@ class IndexService:
         losses (dropped messages) are re-raised for the caller's retry
         logic, since the same node will answer a retransmission.
         """
-        counters.service_queries += 1
+        return run_steps(
+            self._exchange(MessageKind.QUERY_REQUEST, key, user),
+            self._send_touching,
+        )
+
+    def fetch_file(self, msd: FieldQuery, user: str) -> tuple[int, bool]:
+        """Retrieve the file stored under an MSD; returns (node, found).
+
+        Fails over across the MSD's replicas exactly like
+        :meth:`query_key`; transient drops propagate for retry.
+        """
+        return run_steps(
+            self._exchange(MessageKind.FILE_REQUEST, msd.key(), user),
+            self._send_touching,
+        )
+
+    def insert_shortcut(self, node: int, query_key: str, msd_key: str, user: str) -> None:
+        """Create a cache shortcut on a node (counted as cache traffic).
+
+        Best-effort: shortcut creation is an optimization, so a delivery
+        failure (node crashed, message lost) is swallowed -- the lookup
+        already succeeded, and a later lookup will re-seed the cache.
+        """
+        run_steps(
+            self._shortcut_steps(node, query_key, msd_key, user),
+            self.transport.send,
+        )
+
+    def query_async(
+        self,
+        query: FieldQuery,
+        user: str,
+        on_done: Callable[[QueryAnswer], None],
+        on_error: Callable[[DeliveryError], None],
+    ) -> None:
+        """Resolve ``q`` over the virtual clock; see :meth:`query`."""
+        self.query_key_async(query.key(), user, on_done, on_error)
+
+    def query_key_async(
+        self,
+        key: str,
+        user: str,
+        on_done: Callable[[QueryAnswer], None],
+        on_error: Callable[[DeliveryError], None],
+    ) -> None:
+        """:meth:`query_key` over the virtual clock: the same exchange,
+        its outcome passed to ``on_done`` or its error to ``on_error``.
+        A failed request is reported one request leg after it was sent,
+        so failover is spread over virtual time."""
+        hops = self._route_hops(self.index_store, key)
+        self._start(
+            self._exchange(MessageKind.QUERY_REQUEST, key, user, hops),
+            on_done,
+            on_error,
+        )
+
+    def fetch_file_async(
+        self,
+        msd: FieldQuery,
+        user: str,
+        on_done: Callable[[tuple[int, bool]], None],
+        on_error: Callable[[DeliveryError], None],
+    ) -> None:
+        """:meth:`fetch_file` over the virtual clock; yields (node, found)."""
+        key = msd.key()
+        hops = self._route_hops(self.file_store, key)
+        self._start(
+            self._exchange(MessageKind.FILE_REQUEST, key, user, hops),
+            on_done,
+            on_error,
+        )
+
+    def insert_shortcut_async(
+        self, node: int, query_key: str, msd_key: str, user: str
+    ) -> None:
+        """Fire-and-forget :meth:`insert_shortcut`: the shortcut lands one
+        request leg after ``now``; nobody waits for it."""
+        start_steps(
+            self._shortcut_steps(node, query_key, msd_key, user),
+            self.transport.send_async,
+            _ignore,
+            _ignore,
+        )
+
+    def _send_touching(self, request: Message) -> Optional[Message]:
+        """Blocking send that credits the current query to the node."""
+        response = self.transport.send(request)
+        self.transport.meter.touch_node(request.destination)
+        return response
+
+    def _start(
+        self,
+        steps: Steps,
+        on_done: Callable,
+        on_error: Callable[[DeliveryError], None],
+    ) -> None:
+        """Run an exchange through the continuation driver."""
+        start_steps(
+            steps, self.transport.send_async, on_done, on_error,
+            self.transport.tracer,
+        )
+
+    def _exchange(
+        self, kind: MessageKind, key: str, user: str, route_hops: int = 1
+    ) -> Steps:
+        """One query (``QUERY_REQUEST``) or file fetch (``FILE_REQUEST``)
+        as a step generator; returns a :class:`QueryAnswer` or
+        ``(node, found)``.
+
+        Replicas are tried in :meth:`_replica_order`.  A persistent
+        failure (crashed or departed replica, forged response) fails
+        over to the next replica; a transient one (dropped, timed out)
+        is re-raised for the engine's retry logic.  With a trust ledger
+        attached, every outcome feeds it, and an empty query answer is
+        held for a second opinion: it passes every signature check
+        whether the replica honestly holds nothing or withholds, so it
+        is believed only once another replica agrees, or none is left
+        to ask.  A later non-empty answer contradicts the held ones.
+        """
+        fetch = kind is MessageKind.FILE_REQUEST
+        if fetch:
+            counters.service_file_fetches += 1
+        else:
+            counters.service_queries += 1
         tracer = self.transport.tracer
-        last_error: Optional[DeliveryError] = None
-        order = self._replica_order(self.index_store, key)
-        #: Empty answers awaiting a second opinion (trust ledger only):
-        #: an empty answer passes every signature check whether the
-        #: replica honestly holds nothing or maliciously withholds, so
-        #: it is only believed once another replica agrees (or none are
-        #: left to ask).  A later non-empty answer contradicts them.
+        order = self._replica_order(
+            self.file_store if fetch else self.index_store, key
+        )
         withheld: list[QueryAnswer] = []
+        last_error: Optional[DeliveryError] = None
         for attempt, node in enumerate(order):
+            name = self.endpoint_name(node)
             if attempt:
                 counters.service_failovers += 1
                 if tracer is not None:
@@ -331,14 +470,14 @@ class IndexService:
                         key=key, node=node, attempt=attempt,
                         level="service", use_current=True,
                     )
-            request = Message(
-                kind=MessageKind.QUERY_REQUEST,
-                source=user,
-                destination=self.endpoint_name(node),
-                payload=(key,),
-            )
             try:
-                response = self.transport.send(request)
+                response = yield Message(
+                    kind=kind,
+                    source=user,
+                    destination=name,
+                    payload=(key,),
+                    route_hops=route_hops,
+                )
             except DeliveryError as error:
                 if self.trust is not None:
                     self._trust_penalty(node, error)
@@ -348,8 +487,9 @@ class IndexService:
                 continue
             assert response is not None
             if self.trust is not None:
-                self.trust.record_success(self.endpoint_name(node))
-            self.transport.meter.touch_node(self.endpoint_name(node))
+                self.trust.record_success(name)
+            if fetch:
+                return node, bool(response.payload)
             answer = self._parse_answer(node, key, response)
             if (
                 self.trust is not None
@@ -363,11 +503,27 @@ class IndexService:
                     self._contradiction_penalty(earlier.node)
             return answer
         if withheld:
-            # Every remaining replica erred; the uncorroborated empty
-            # answer is still an answer.
+            # Every later replica was unreachable; the uncorroborated
+            # empty answer is still an answer.
             return withheld[0]
         assert last_error is not None
         raise last_error
+
+    def _shortcut_steps(
+        self, node: int, query_key: str, msd_key: str, user: str
+    ) -> Steps:
+        """A shortcut insert as a step generator; failures are swallowed."""
+        if not self.cache_policy.caches_enabled:
+            return
+        try:
+            yield Message(
+                kind=MessageKind.CACHE_INSERT,
+                source=user,
+                destination=self.endpoint_name(node),
+                payload=(query_key, msd_key),
+            )
+        except DeliveryError:
+            pass
 
     def _parse_answer(
         self, node: int, key: str, response: Message
@@ -500,268 +656,6 @@ class IndexService:
         tracer = self.transport.tracer
         if tracer is not None:
             tracer.trust_update(peer=name, score=score, cause=cause)
-
-    def _pick_replica(self, store: DHTStorage, key: str) -> int:
-        """The first replica this request would try (see _replica_order)."""
-        return self._replica_order(store, key)[0]
-
-    def fetch_file(self, msd: FieldQuery, user: str) -> tuple[int, bool]:
-        """Retrieve the file stored under an MSD; returns (node, found).
-
-        Fails over across the MSD's replicas exactly like
-        :meth:`query_key`; transient drops propagate for retry.
-        """
-        counters.service_file_fetches += 1
-        tracer = self.transport.tracer
-        key = msd.key()
-        last_error: Optional[DeliveryError] = None
-        for attempt, node in enumerate(self._replica_order(self.file_store, key)):
-            if attempt:
-                counters.service_failovers += 1
-                if tracer is not None:
-                    tracer.failover(
-                        key=key, node=node, attempt=attempt,
-                        level="service", use_current=True,
-                    )
-            request = Message(
-                kind=MessageKind.FILE_REQUEST,
-                source=user,
-                destination=self.endpoint_name(node),
-                payload=(key,),
-            )
-            try:
-                response = self.transport.send(request)
-            except DeliveryError as error:
-                if self.trust is not None:
-                    self._trust_penalty(node, error)
-                if not error.retry_elsewhere:
-                    raise
-                last_error = error
-                continue
-            assert response is not None
-            if self.trust is not None:
-                self.trust.record_success(self.endpoint_name(node))
-            self.transport.meter.touch_node(self.endpoint_name(node))
-            return node, bool(response.payload)
-        assert last_error is not None
-        raise last_error
-
-    def insert_shortcut(self, node: int, query_key: str, msd_key: str, user: str) -> None:
-        """Create a cache shortcut on a node (counted as cache traffic).
-
-        Best-effort: shortcut creation is an optimization, so a delivery
-        failure (node crashed, message lost) is swallowed -- the lookup
-        already succeeded, and a later lookup will re-seed the cache.
-        """
-        if not self.cache_policy.caches_enabled:
-            return
-        request = Message(
-            kind=MessageKind.CACHE_INSERT,
-            source=user,
-            destination=self.endpoint_name(node),
-            payload=(query_key, msd_key),
-        )
-        try:
-            self.transport.send(request)
-        except DeliveryError:
-            pass
-
-    # -- user-facing operations (event-kernel, continuation-passing) --------------------
-    #
-    # The async variants mirror their synchronous counterparts exchange
-    # for exchange -- same counters, same replica failover policy -- but
-    # deliver through the transport's virtual clock, so N lookups can be
-    # in flight at once and each request pays its overlay routing delay
-    # (``route_hops`` legs, sampled by the bound latency model).  Results
-    # and delivery failures arrive via continuations instead of
-    # return/raise.  Per-query node touching is left to the driver (the
-    # meter's current-query set cannot tell overlapping lookups apart).
-
-    def query_async(
-        self,
-        query: FieldQuery,
-        user: str,
-        on_done: Callable[[QueryAnswer], None],
-        on_error: Callable[[DeliveryError], None],
-    ) -> None:
-        """Resolve ``q`` over the virtual clock; see :meth:`query`."""
-        self.query_key_async(query.key(), user, on_done, on_error)
-
-    def query_key_async(
-        self,
-        key: str,
-        user: str,
-        on_done: Callable[[QueryAnswer], None],
-        on_error: Callable[[DeliveryError], None],
-    ) -> None:
-        """Scheduled variant of :meth:`query_key` with replica failover.
-
-        Failover works exactly like the synchronous path, spread over
-        virtual time: a persistent failure (crashed/departed replica)
-        becomes an error event one request leg later, at which point the
-        next replica is tried; transient drops propagate to ``on_error``
-        for the caller's retry logic.
-        """
-        counters.service_queries += 1
-        order = self._replica_order(self.index_store, key)
-        hops = self._route_hops(self.index_store, key)
-        tracer = self.transport.tracer
-        # Failover attempts fire from kernel continuations, long after
-        # other lookups moved the tracer's current-span pointer: capture
-        # the requesting span now and re-activate it per attempt.
-        span = tracer.current if tracer is not None else None
-        # Second-opinion state, mirroring the synchronous path: empty
-        # answers are deferred until another replica corroborates them.
-        withheld: list[QueryAnswer] = []
-
-        def attempt(index: int) -> None:
-            node = order[index]
-            if index:
-                counters.service_failovers += 1
-                if tracer is not None:
-                    tracer.failover(
-                        key=key, node=node, attempt=index,
-                        level="service", ref=span,
-                    )
-            request = Message(
-                kind=MessageKind.QUERY_REQUEST,
-                source=user,
-                destination=self.endpoint_name(node),
-                payload=(key,),
-                route_hops=hops,
-            )
-
-            def on_result(response: Optional[Message]) -> None:
-                assert response is not None
-                if self.trust is not None:
-                    self.trust.record_success(self.endpoint_name(node))
-                if tracer is not None:
-                    with tracer.activated(span):
-                        answer = self._parse_answer(node, key, response)
-                else:
-                    answer = self._parse_answer(node, key, response)
-                if (
-                    self.trust is not None
-                    and answer.empty
-                    and index + 1 < len(order)
-                ):
-                    withheld.append(answer)
-                    attempt(index + 1)
-                    return
-                if withheld and not answer.empty:
-                    if tracer is not None:
-                        with tracer.activated(span):
-                            for earlier in withheld:
-                                self._contradiction_penalty(earlier.node)
-                    else:
-                        for earlier in withheld:
-                            self._contradiction_penalty(earlier.node)
-                on_done(answer)
-
-            def on_fail(error: DeliveryError) -> None:
-                if self.trust is not None:
-                    # Continuations run long after other lookups moved the
-                    # current span; re-activate ours for the trust event.
-                    if tracer is not None:
-                        with tracer.activated(span):
-                            self._trust_penalty(node, error)
-                    else:
-                        self._trust_penalty(node, error)
-                if error.retry_elsewhere and index + 1 < len(order):
-                    attempt(index + 1)
-                elif withheld:
-                    # Every remaining replica erred; the uncorroborated
-                    # empty answer is still an answer.
-                    on_done(withheld[0])
-                else:
-                    on_error(error)
-
-            if tracer is not None:
-                with tracer.activated(span):
-                    self.transport.send_async(request, on_result, on_fail)
-            else:
-                self.transport.send_async(request, on_result, on_fail)
-
-        attempt(0)
-
-    def fetch_file_async(
-        self,
-        msd: FieldQuery,
-        user: str,
-        on_done: Callable[[tuple[int, bool]], None],
-        on_error: Callable[[DeliveryError], None],
-    ) -> None:
-        """Scheduled variant of :meth:`fetch_file`; yields (node, found)."""
-        counters.service_file_fetches += 1
-        key = msd.key()
-        order = self._replica_order(self.file_store, key)
-        hops = self._route_hops(self.file_store, key)
-        tracer = self.transport.tracer
-        span = tracer.current if tracer is not None else None
-
-        def attempt(index: int) -> None:
-            node = order[index]
-            if index:
-                counters.service_failovers += 1
-                if tracer is not None:
-                    tracer.failover(
-                        key=key, node=node, attempt=index,
-                        level="service", ref=span,
-                    )
-            request = Message(
-                kind=MessageKind.FILE_REQUEST,
-                source=user,
-                destination=self.endpoint_name(node),
-                payload=(key,),
-                route_hops=hops,
-            )
-
-            def on_result(response: Optional[Message]) -> None:
-                assert response is not None
-                if self.trust is not None:
-                    self.trust.record_success(self.endpoint_name(node))
-                on_done((node, bool(response.payload)))
-
-            def on_fail(error: DeliveryError) -> None:
-                if self.trust is not None:
-                    if tracer is not None:
-                        with tracer.activated(span):
-                            self._trust_penalty(node, error)
-                    else:
-                        self._trust_penalty(node, error)
-                if error.retry_elsewhere and index + 1 < len(order):
-                    attempt(index + 1)
-                else:
-                    on_error(error)
-
-            if tracer is not None:
-                with tracer.activated(span):
-                    self.transport.send_async(request, on_result, on_fail)
-            else:
-                self.transport.send_async(request, on_result, on_fail)
-
-        attempt(0)
-
-    def insert_shortcut_async(
-        self, node: int, query_key: str, msd_key: str, user: str
-    ) -> None:
-        """Scheduled, fire-and-forget variant of :meth:`insert_shortcut`.
-
-        The shortcut lands one request leg after ``now``; delivery
-        failures are swallowed exactly like the synchronous path (a later
-        lookup re-seeds the cache).
-        """
-        if not self.cache_policy.caches_enabled:
-            return
-        request = Message(
-            kind=MessageKind.CACHE_INSERT,
-            source=user,
-            destination=self.endpoint_name(node),
-            payload=(query_key, msd_key),
-        )
-        self.transport.send_async(
-            request, lambda response: None, lambda error: None
-        )
 
     def _route_hops(self, store: DHTStorage, key: str) -> int:
         """Overlay legs a request for ``key`` traverses (>= 1).

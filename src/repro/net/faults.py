@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from contextlib import nullcontext
 from dataclasses import InitVar, dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -49,6 +50,7 @@ from repro.net.transport import (
     ErrorCallback,
     ResponseCallback,
     SimulatedTransport,
+    TransportError,
 )
 from repro.perf import counters
 
@@ -160,6 +162,10 @@ class FaultPlan:
 NO_FAULTS = FaultPlan()
 
 
+def _ignore(_: object) -> None:
+    """Continuation of a duplicate delivery, whose outcome is discarded."""
+
+
 def _default_crashable(names: list[str]) -> list[str]:
     """Endpoints eligible for random crash selection: index nodes only."""
     return [name for name in names if name.startswith("node:")]
@@ -255,6 +261,11 @@ class FaultyTransport:
         return set(self._crashed)
 
     # -- delivery -----------------------------------------------------------
+    #
+    # Both delivery modes share every fault decision: _admit() is each
+    # send's first step, _duplicated() the duplicate draw and _receive()
+    # the response leg.  send() and send_async() differ only in how they
+    # deliver and how a failure reaches the caller.
 
     def send(self, message: Message) -> Optional[Message]:
         """Deliver through the inner transport, injecting planned faults.
@@ -270,51 +281,12 @@ class FaultyTransport:
         - a send to a crashed endpoint meters the request bytes and
           raises with reason ``crashed`` so callers fail over.
         """
-        self._advance_schedule()
-        self.sends += 1
-        plan = self.plan
-        if message.destination in self._crashed:
-            counters.fault_crashed_sends += 1
-            self.inner.meter.record(message)
-            raise DeliveryError(DeliveryError.CRASHED, message.destination)
-        if (
-            plan.drop_probability
-            and self._rng.random() < plan.drop_probability
-        ):
-            counters.fault_drops += 1
-            self.inner.meter.record(message)
-            raise DeliveryError(DeliveryError.DROPPED, message.destination)
-        if plan.max_latency_ms:
-            added_ms = self._draw_latency_ms()
-            self.latency_ms += added_ms
-            counters.fault_latency_ms += added_ms
+        self._admit(message)
         response = self.inner.send(message)
-        if (
-            plan.duplicate_probability
-            and self._rng.random() < plan.duplicate_probability
-        ):
-            counters.fault_duplicates += 1
-            # Duplicate legs are unattributed, matching the async path.
-            tracer = self.inner.tracer
-            if tracer is not None:
-                with tracer.activated(None):
-                    self.inner.send(message)
-            else:
+        if self._duplicated():
+            with self._unattributed():
                 self.inner.send(message)
-        if (
-            response is not None
-            and plan.drop_probability
-            and self._rng.random() < plan.drop_probability
-        ):
-            counters.fault_drops += 1
-            raise DeliveryError(DeliveryError.DROPPED, message.destination)
-        return response
-
-    def _draw_latency_ms(self) -> float:
-        """One added-latency draw from the plan's seeded RNG."""
-        return self._rng.uniform(0.0, self.plan.max_latency_ms)
-
-    # -- virtual-time delivery ---------------------------------------------
+        return self._receive(message, response)
 
     @property
     def kernel(self) -> Optional["EventKernel"]:
@@ -334,13 +306,12 @@ class FaultyTransport:
     ) -> None:
         """Scheduled delivery with planned faults on the virtual clock.
 
-        Mirrors :meth:`send` fault-for-fault, with time made explicit:
+        The same faults as :meth:`send`, with time made explicit:
 
         - crashed destination / dropped request: request bytes metered,
           ``on_error`` fires after the request's one-way delay (the
           idealized timeout of the failure detector);
-        - injected latency is added to the request leg's travel time (and
-          accounted in ``latency_ms`` exactly like the sync path);
+        - injected latency is added to the request leg's travel time;
         - a duplicated request is a second scheduled delivery whose
           response is discarded;
         - a dropped *response* is decided when the response leg arrives:
@@ -348,96 +319,106 @@ class FaultyTransport:
 
         All draws happen at send time except the response drop (drawn at
         response arrival), so fault sequences are a deterministic
-        function of the kernel's event order.
+        function of the kernel's event order.  Calling this before
+        :meth:`bind_clock` raises :class:`TransportError` before any
+        state changes.
         """
-        self._advance_schedule()
-        self.sends += 1
-        plan = self.plan
         kernel = self.inner.kernel
-        if kernel is None:
-            raise RuntimeError("send_async requires bind_clock() first")
-        if message.destination in self._crashed:
-            counters.fault_crashed_sends += 1
-            self.inner.meter.record(message)
-            delay = self.inner._hop_delay(message)
-            # The failed request leg still takes its one-way delay before
+        if kernel is None or self.inner.latency is None:
+            raise TransportError("send_async requires bind_clock() first")
+        try:
+            extra_ms = self._admit(message)
+        except DeliveryError as error:
+            # The lost request leg still takes its one-way delay before
             # the sender learns of the loss; traced as a waited leg.
+            delay = self.inner._hop_delay(message)
             if self.inner.tracer is not None:
                 self.inner._trace_hop(
                     message, "request", delay, use_current=True
                 )
-            kernel.post(
-                delay,
-                lambda: on_error(
-                    DeliveryError(DeliveryError.CRASHED, message.destination)
-                ),
-            )
+            kernel.post(delay, lambda lost=error: on_error(lost))
             return
+        duplicated = self._duplicated()
+
+        def deliver(response: Optional[Message]) -> None:
+            try:
+                response = self._receive(message, response)
+            except DeliveryError as error:
+                on_error(error)
+            else:
+                on_result(response)
+
+        self.inner.send_async(
+            message, deliver, on_error, extra_delay_ms=extra_ms
+        )
+        if duplicated:
+            with self._unattributed():
+                self.inner.send_async(
+                    message, _ignore, _ignore, extra_delay_ms=extra_ms
+                )
+
+    def _admit(self, message: Message) -> float:
+        """Every send's first step: fire due schedule events, count the
+        send, then decide crash, request drop and added latency, in that
+        RNG order.  Returns the added milliseconds; a lost request raises
+        its :class:`DeliveryError` (see :meth:`_lost`)."""
+        self._advance_schedule()
+        self.sends += 1
+        plan = self.plan
+        if message.destination in self._crashed:
+            counters.fault_crashed_sends += 1
+            raise self._lost(message, DeliveryError.CRASHED)
         if (
             plan.drop_probability
             and self._rng.random() < plan.drop_probability
         ):
             counters.fault_drops += 1
-            self.inner.meter.record(message)
-            delay = self.inner._hop_delay(message)
-            if self.inner.tracer is not None:
-                self.inner._trace_hop(
-                    message, "request", delay, use_current=True
-                )
-            kernel.post(
-                delay,
-                lambda: on_error(
-                    DeliveryError(DeliveryError.DROPPED, message.destination)
-                ),
-            )
-            return
-        extra_ms = 0.0
-        if plan.max_latency_ms:
-            extra_ms = self._draw_latency_ms()
-            self.latency_ms += extra_ms
-            counters.fault_latency_ms += extra_ms
-        duplicated = bool(
+            raise self._lost(message, DeliveryError.DROPPED)
+        if not plan.max_latency_ms:
+            return 0.0
+        added_ms = self._rng.uniform(0.0, plan.max_latency_ms)
+        self.latency_ms += added_ms
+        counters.fault_latency_ms += added_ms
+        return added_ms
+
+    def _lost(self, message: Message, reason: str) -> DeliveryError:
+        """A request lost before its handler ran: the sender still spent
+        the request bytes, so they are metered."""
+        self.inner.meter.record(message)
+        return DeliveryError(reason, message.destination)
+
+    def _duplicated(self) -> bool:
+        """The duplicate-delivery draw of one delivered request."""
+        plan = self.plan
+        if (
             plan.duplicate_probability
             and self._rng.random() < plan.duplicate_probability
-        )
-
-        def deliver_result(response: Optional[Message]) -> None:
-            if (
-                response is not None
-                and plan.drop_probability
-                and self._rng.random() < plan.drop_probability
-            ):
-                counters.fault_drops += 1
-                on_error(
-                    DeliveryError(DeliveryError.DROPPED, message.destination)
-                )
-                return
-            on_result(response)
-
-        self.inner.send_async(
-            message, deliver_result, on_error, extra_delay_ms=extra_ms
-        )
-        if duplicated:
+        ):
             counters.fault_duplicates += 1
-            # The duplicate delivery is not on any lookup's critical path
-            # (its response is discarded), so its legs are recorded
-            # unattributed -- the latency-sum trace invariant holds.
-            tracer = self.inner.tracer
-            if tracer is not None:
-                with tracer.activated(None):
-                    self.inner.send_async(
-                        message,
-                        lambda response: None,
-                        lambda error: None,
-                        extra_delay_ms=extra_ms,
-                    )
-            else:
-                self.inner.send_async(
-                    message,
-                    lambda response: None,
-                    lambda error: None,
-                    extra_delay_ms=extra_ms,
-                )
+            return True
+        return False
+
+    def _unattributed(self):
+        """Context for a duplicate delivery: it is on no lookup's critical
+        path (its response is discarded), so its legs are traced
+        unattributed and the latency-sum trace invariant holds."""
+        tracer = self.inner.tracer
+        return nullcontext() if tracer is None else tracer.activated(None)
+
+    def _receive(
+        self, message: Message, response: Optional[Message]
+    ) -> Optional[Message]:
+        """The response leg: its planned drop (raised as the caller's
+        :class:`DeliveryError`) is drawn on arrival."""
+        plan = self.plan
+        if (
+            response is not None
+            and plan.drop_probability
+            and self._rng.random() < plan.drop_probability
+        ):
+            counters.fault_drops += 1
+            raise DeliveryError(DeliveryError.DROPPED, message.destination)
+        return response
 
     def _advance_schedule(self) -> None:
         """Fire crash/restart/recovery events due at the current send."""

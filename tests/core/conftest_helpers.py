@@ -29,3 +29,33 @@ def build_engine_stack(scheme, cache_policy=CachePolicy.NONE, cache_capacity=Non
         cache_capacity=cache_capacity,
     )
     return service, LookupEngine(service, user="user:prop")
+
+
+#: The two drivers of a service exchange, for tests parametrized over both.
+DRIVERS = ("blocking", "kernel")
+
+
+def run_exchange(driver, service, method, *args):
+    """Run one service operation through the named driver.
+
+    ``"blocking"`` calls ``service.<method>(*args)``.  ``"kernel"`` calls
+    ``service.<method>_async`` on an event kernel with ``constant:0``
+    latency, runs the kernel dry, and returns the outcome -- or raises
+    it, when it is a :class:`DeliveryError`.
+    """
+    from repro.net.latency import parse_latency_model
+    from repro.net.transport import DeliveryError
+    from repro.sim.kernel import EventKernel
+
+    if driver == "blocking":
+        return getattr(service, method)(*args)
+    transport = service.transport
+    if transport.kernel is None:
+        transport.bind_clock(EventKernel(), parse_latency_model("constant:0"))
+    outcomes = []
+    getattr(service, method + "_async")(*args, outcomes.append, outcomes.append)
+    transport.kernel.run()
+    (outcome,) = outcomes
+    if isinstance(outcome, DeliveryError):
+        raise outcome
+    return outcome

@@ -6,6 +6,9 @@ key): *fabrication*, caught by entry attestation, and *withholding*,
 caught by cross-replica second opinions feeding the trust ledger.
 """
 
+import pytest
+
+from conftest_helpers import DRIVERS, run_exchange
 from repro import perf
 from repro.core.fields import ARTICLE_SCHEMA
 from repro.core.query import FieldQuery
@@ -13,7 +16,8 @@ from repro.core.scheme import simple_scheme
 from repro.core.service import IndexService
 from repro.dht.idspace import hash_key
 from repro.dht.ring import IdealRing
-from repro.net.transport import SimulatedTransport
+from repro.net.adversary import AdversarialTransport
+from repro.net.transport import DeliveryError, SimulatedTransport
 from repro.sec import NodeIdentity, TrustLedger, is_attested
 from repro.sec.entries import attest_entry
 from repro.storage.store import DHTStorage
@@ -22,11 +26,14 @@ PUBLISHER = NodeIdentity("service-publisher")
 IMPOSTOR = NodeIdentity("impostor")
 
 
-def build(replication=1, num_nodes=12, identity=PUBLISHER, trust=None):
+def build(
+    replication=1, num_nodes=12, identity=PUBLISHER, trust=None, transport=None
+):
     ring = IdealRing(64)
     for index in range(num_nodes):
         ring.add_node(hash_key(f"peer-{index}", 64))
-    transport = SimulatedTransport()
+    if transport is None:
+        transport = SimulatedTransport()
     return IndexService(
         ARTICLE_SCHEMA,
         simple_scheme(),
@@ -105,9 +112,11 @@ class TestFabricationRejected:
 
 
 class TestSecondOpinions:
-    def withholding_setup(self, paper_records):
+    """Both drivers of the query exchange apply one second-opinion rule."""
+
+    def withholding_setup(self, paper_records, transport=None):
         trust = TrustLedger()
-        service = build(replication=3, trust=trust)
+        service = build(replication=3, trust=trust, transport=transport)
         service.insert_record(paper_records[0])
         author = FieldQuery(ARTICLE_SCHEMA, {"author": "John_Smith"})
         key = author.key()
@@ -117,24 +126,56 @@ class TestSecondOpinions:
         service.index_store._node_stores[withholder].pop(key, None)
         return service, trust, author, withholder
 
-    def test_empty_answer_gets_second_opinion(self, paper_records):
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_empty_answer_gets_second_opinion(self, paper_records, driver):
         service, trust, author, withholder = self.withholding_setup(
             paper_records
         )
         before = perf.counters.sec_contradictions
         for _ in range(6):  # rotation guarantees the withholder leads once
-            answer = service.query(author, user="user:t")
+            answer = run_exchange(driver, service, "query", author, "user:t")
             assert not answer.empty  # another replica supplied the truth
         assert perf.counters.sec_contradictions > before
         assert not trust.is_trusted(IndexService.endpoint_name(withholder))
 
-    def test_agreeing_empty_answers_accepted(self, paper_records):
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_agreeing_empty_answers_accepted(self, paper_records, driver):
         """A key nobody holds resolves empty without contradictions."""
         trust = TrustLedger()
         service = build(replication=3, trust=trust)
         service.insert_record(paper_records[0])
         ghost = FieldQuery(ARTICLE_SCHEMA, {"author": "Nobody_Here"})
         before = perf.counters.sec_contradictions
-        answer = service.query(ghost, user="user:t")
+        answer = run_exchange(driver, service, "query", ghost, "user:t")
         assert answer.empty
         assert perf.counters.sec_contradictions == before
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_transient_loss_after_held_answer_is_retried(
+        self, paper_records, driver
+    ):
+        """A held empty answer is not believed when the next replica's
+        request is merely lost: the loss goes back to the engine's retry
+        logic (the same node will answer a retransmission)."""
+        transport = AdversarialTransport(SimulatedTransport())
+        service, trust, author, withholder = self.withholding_setup(
+            paper_records, transport
+        )
+        replicas = service.index_store.responsible_nodes(author.key())
+        assert replicas[0] == withholder
+        # Lookups to the second replica are lost in flight; the third
+        # answers honestly.
+        transport.eclipse(IndexService.endpoint_name(replicas[1]))
+        outcomes = []
+        for _ in range(3):  # rotation puts each replica first once
+            try:
+                answer = run_exchange(driver, service, "query", author, "user:t")
+            except DeliveryError as error:
+                outcomes.append(error.reason)
+            else:
+                outcomes.append("empty" if answer.empty else "entries")
+        # Orders tried: (eclipsed, ...), (honest, ...), then (withholder,
+        # eclipsed, ...) -- where the held empty answer must not win.
+        assert outcomes == [
+            DeliveryError.DROPPED, "entries", DeliveryError.DROPPED
+        ]

@@ -2,10 +2,19 @@
 
 import pytest
 
+from conftest_helpers import run_exchange
+from repro import perf
 from repro.core.cache import CachePolicy
 from repro.core.fields import ARTICLE_SCHEMA
 from repro.core.query import FieldQuery
 from repro.core.scheme import complex_scheme, flat_scheme, simple_scheme
+from repro.core.service import IndexService, QueryAnswer
+from repro.dht.idspace import hash_key
+from repro.dht.ring import IdealRing
+from repro.net.adversary import ROLE_POISONER, AdversarialTransport
+from repro.net.transport import SimulatedTransport
+from repro.sec import TrustLedger
+from repro.storage.store import DHTStorage
 
 @pytest.fixture
 def service(paper_records, service_factory):
@@ -138,6 +147,74 @@ class TestDeletion:
         service.insert_record(paper_records[0])
         title = FieldQuery(ARTICLE_SCHEMA, {"title": "TCP"})
         assert not service.query(title, user="user:test").empty
+
+
+class TestReplicaFailover:
+    """Failover and trust penalties are one policy run by two drivers."""
+
+    #: Counters the exchange policy moves (the kernel driver additionally
+    #: moves kernel and routing counters, which are left out).
+    POLICY_COUNTERS = (
+        "service_queries", "service_file_fetches", "service_failovers",
+        "fault_crashed_sends", "sec_verify_failures", "sec_trust_updates",
+    )
+
+    def scenario(self, paper_records, driver):
+        """Queries and fetches for every record over replication 3, with
+        one node crashed and another forging; returns what is observable:
+        outcomes, policy counters, trust scores, sends, the forger."""
+        ring = IdealRing(64)
+        for index in range(12):
+            ring.add_node(hash_key(f"peer-{index}", 64))
+        transport = AdversarialTransport(SimulatedTransport(), verify=True)
+        trust = TrustLedger()
+        service = IndexService(
+            ARTICLE_SCHEMA, simple_scheme(),
+            DHTStorage(ring, replication=3), DHTStorage(ring, replication=3),
+            transport, trust=trust,
+        )
+        for record in paper_records:
+            service.insert_record(record)
+        # Five ring positions apart: no key has both among its replicas.
+        nodes = sorted(ring.node_ids)
+        crashed = IndexService.endpoint_name(nodes[0])
+        forger = IndexService.endpoint_name(nodes[5])
+        transport.fail_node(crashed)
+        transport.mark(forger, ROLE_POISONER)
+        before = perf.snapshot()
+        outcomes = []
+        for _ in range(3):  # rotate each replica to the front
+            for record in paper_records:
+                for fields in (["author"], ["conf"], ["author", "title"]):
+                    query = FieldQuery.of_record(record, fields)
+                    outcomes.append(
+                        run_exchange(driver, service, "query", query, "u")
+                    )
+                msd = FieldQuery.msd_of(record)
+                outcomes.append(
+                    run_exchange(driver, service, "fetch_file", msd, "u")
+                )
+        moved = perf.delta(before, perf.snapshot())
+        counts = {name: moved[name] for name in self.POLICY_COUNTERS}
+        scores = {peer: trust.score(peer) for peer in trust.known_peers()}
+        return outcomes, counts, scores, transport.sends, forger
+
+    def test_both_drivers_agree(self, paper_records):
+        blocking = self.scenario(paper_records, "blocking")
+        assert self.scenario(paper_records, "kernel") == blocking
+        outcomes, counts, scores, _, forger = blocking
+        assert counts["service_failovers"] > 0
+        assert counts["fault_crashed_sends"] > 0
+        assert counts["sec_verify_failures"] > 0
+        # Failover hides both faults from the caller ...
+        for outcome in outcomes:
+            if isinstance(outcome, QueryAnswer):
+                assert not outcome.empty
+            else:
+                assert outcome[1]  # the file was found
+        # ... and only the forger is penalized: a crash is benign.
+        penalized = [peer for peer, score in scores.items() if score < 1.0]
+        assert penalized == [forger]
 
 
 class TestStatistics:

@@ -17,7 +17,7 @@ from repro.net.adversary import (
 )
 from repro.net.faults import NO_FAULTS, FaultyTransport
 from repro.net.message import Message, MessageKind
-from repro.net.transport import DeliveryError, SimulatedTransport
+from repro.net.transport import DeliveryError, SimulatedTransport, TransportError
 
 
 def echo_endpoint(received):
@@ -241,6 +241,20 @@ class TestEclipse:
         transport.eclipse("node:1")
         transport.send(insert())
         assert len(received) == 1
+
+    def test_unbound_clock_fails_before_metering(self, wired):
+        """An eclipsed lookup sent before bind_clock() is misuse: the
+        TransportError comes before any count or metered byte."""
+        transport, received = wired()
+        transport.eclipse("node:1")
+        before = perf.snapshot()
+        with pytest.raises(TransportError) as excinfo:
+            transport.send_async(query(), lambda r: None, lambda e: None)
+        assert not isinstance(excinfo.value, DeliveryError)
+        assert transport.sends == 0
+        assert transport.meter.total_bytes == 0
+        assert perf.delta(before, perf.snapshot()) == dict.fromkeys(before, 0)
+        assert received == []
 
     def test_partial_eclipse_draws_from_chaos_rng(self, wired):
         plan = AdversaryPlan(eclipse_victims=1, eclipse_drop=0.5)

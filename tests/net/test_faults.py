@@ -328,6 +328,32 @@ class TestAsyncFaults:
         assert drive() == drive()
 
 
+class TestAsyncMisuse:
+    def test_unbound_clock_fails_before_any_state_change(self, wired):
+        """A send_async before bind_clock() is misuse: it raises the
+        transport's TransportError and changes no schedule, count, RNG
+        draw or metered byte."""
+        rng = random.Random(5)
+        faulty, received = wired(
+            FaultPlan(
+                drop_probability=0.5,
+                crash_schedule=(CrashEvent(0, 3, victim="node:1"),),
+            ),
+            rng=rng,
+        )
+        state = rng.getstate()
+        before = perf.snapshot()
+        with pytest.raises(TransportError) as excinfo:
+            faulty.send_async(request(), lambda r: None, lambda e: None)
+        assert not isinstance(excinfo.value, DeliveryError)
+        assert faulty.sends == 0
+        assert not faulty.is_crashed("node:1")
+        assert rng.getstate() == state
+        assert faulty.meter.total_bytes == 0
+        assert perf.delta(before, perf.snapshot()) == dict.fromkeys(before, 0)
+        assert received == []
+
+
 class TestEndpointProtocol:
     def test_delegation(self, wired):
         faulty, _ = wired(NO_FAULTS)
